@@ -266,6 +266,11 @@ pub(crate) fn tokenize(s: &str) -> Vec<String> {
     tokens
 }
 
+/// Deepest list nesting [`parse_sexp`] accepts. The parser recurses once
+/// per level, so the cap turns adversarial input such as a megabyte of
+/// `(` into a parse error instead of a stack overflow.
+const MAX_PARSE_DEPTH: usize = 1_000;
+
 /// A generic s-expression parser driven by a node-construction callback.
 ///
 /// `make(op, children)` is called for every atom/list head with the ids of
@@ -273,7 +278,7 @@ pub(crate) fn tokenize(s: &str) -> Vec<String> {
 pub(crate) fn parse_sexp(s: &str, make: MakeNode<'_>) -> Result<Id, RecExprParseError> {
     let tokens = tokenize(s);
     let mut pos = 0;
-    let root = parse_tokens(&tokens, &mut pos, make).map_err(RecExprParseError)?;
+    let root = parse_tokens(&tokens, &mut pos, make, 0).map_err(RecExprParseError)?;
     if pos != tokens.len() {
         return Err(RecExprParseError(format!(
             "trailing tokens after expression: {:?}",
@@ -283,7 +288,15 @@ pub(crate) fn parse_sexp(s: &str, make: MakeNode<'_>) -> Result<Id, RecExprParse
     Ok(root)
 }
 
-fn parse_tokens(tokens: &[String], pos: &mut usize, make: MakeNode<'_>) -> Result<Id, String> {
+fn parse_tokens(
+    tokens: &[String],
+    pos: &mut usize,
+    make: MakeNode<'_>,
+    depth: usize,
+) -> Result<Id, String> {
+    if depth > MAX_PARSE_DEPTH {
+        return Err(format!("nesting deeper than {MAX_PARSE_DEPTH} levels"));
+    }
     let tok = tokens
         .get(*pos)
         .ok_or_else(|| "unexpected end of input".to_string())?;
@@ -307,7 +320,7 @@ fn parse_tokens(tokens: &[String], pos: &mut usize, make: MakeNode<'_>) -> Resul
                     *pos += 1;
                     break;
                 }
-                children.push(parse_tokens(tokens, pos, make)?);
+                children.push(parse_tokens(tokens, pos, make, depth + 1)?);
             }
             make(&op, children)
         }
@@ -348,6 +361,11 @@ mod tests {
         assert!("(f a) b".parse::<RecExpr<SymbolLang>>().is_err());
         assert!("".parse::<RecExpr<SymbolLang>>().is_err());
         assert!("(())".parse::<RecExpr<SymbolLang>>().is_err());
+        // Nesting past the cap is an error, not a stack overflow.
+        let deep = "(g ".repeat(100_000) + "a" + &")".repeat(100_000);
+        assert!(deep.parse::<RecExpr<SymbolLang>>().is_err());
+        let ok = "(g ".repeat(MAX_PARSE_DEPTH) + "a" + &")".repeat(MAX_PARSE_DEPTH);
+        assert!(ok.parse::<RecExpr<SymbolLang>>().is_ok());
     }
 
     #[test]

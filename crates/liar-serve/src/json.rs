@@ -189,7 +189,11 @@ impl std::error::Error for JsonError {}
 /// Parse a complete JSON document (trailing garbage is an error).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text: input,
+        bytes,
+        pos: 0,
+    };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -200,6 +204,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -389,13 +394,14 @@ impl<'a> Parser<'a> {
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
                     // Multi-byte UTF-8 passes through unchanged; the
-                    // input is a &str, so it is already valid.
-                    let s = &self.bytes[self.pos..];
-                    let c = std::str::from_utf8(s)
-                        .map_err(|_| self.err("invalid UTF-8"))?
-                        .chars()
-                        .next()
-                        .expect("peeked a byte");
+                    // input is a &str, so it is already valid, and `pos`
+                    // sits on a char boundary (every step advances by
+                    // whole chars).
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

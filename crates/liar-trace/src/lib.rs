@@ -10,8 +10,8 @@
 //!    gate on [`TraceSink::on`] first.
 //! 2. **No perturbation of results.** The recorder only ever observes —
 //!    it never feeds back into search, scheduling, or extraction. The
-//!    repo's bit-identical determinism walls (parallel, semi-naive,
-//!    snapshot) run with tracing on and off to enforce this.
+//!    repo's bit-identical determinism walls (parallel, snapshot) run
+//!    with tracing on and off to enforce this.
 //! 3. **Deterministic flush order.** Events are buffered in per-thread
 //!    [`TraceSink`]s (lock-free appends) and merged at flush in *lane
 //!    registration order*, preserving per-lane append order — never by
@@ -68,7 +68,10 @@ pub struct Event {
     pub start_us: u64,
     /// Span duration in microseconds (0 for instants and counters).
     pub dur_us: u64,
-    /// Duration minus time spent in child spans on the same lane.
+    /// Duration minus time spent in child spans. Spans recorded on the
+    /// same thread nest by time across lanes, so a runner's `step` inside
+    /// a pipeline's `saturate` is charged to it once (filled in by
+    /// [`Recorder::events`]).
     pub self_us: u64,
     /// Span, instant, or counter.
     pub kind: EventKind,
@@ -78,6 +81,9 @@ pub struct Event {
 
 struct Lane {
     name: String,
+    /// The thread that registered the lane: spans of lanes registered on
+    /// one thread nest by time for self-time purposes.
+    thread: std::thread::ThreadId,
     events: Vec<Event>,
 }
 
@@ -127,6 +133,7 @@ impl Recorder {
         let mut lanes = self.lanes.lock().unwrap();
         lanes.push(Lane {
             name: name.to_string(),
+            thread: std::thread::current().id(),
             events: Vec::new(),
         });
         lanes.len() - 1
@@ -140,16 +147,21 @@ impl Recorder {
     }
 
     /// All flushed events, concatenated in lane-registration order with
-    /// per-lane append order preserved (the deterministic merge).
+    /// per-lane append order preserved (the deterministic merge), with
+    /// every span's [`self_us`](Event::self_us) computed.
     pub fn events(&self) -> Vec<Event> {
         let lanes = self.lanes.lock().unwrap();
         let mut out = Vec::new();
+        let mut group = Vec::new();
         for (i, l) in lanes.iter().enumerate() {
+            let g = lanes.iter().position(|o| o.thread == l.thread).unwrap_or(i);
             out.extend(l.events.iter().cloned().map(|mut e| {
                 e.lane = i;
                 e
             }));
+            group.resize(out.len(), g);
         }
+        assign_self_times(&mut out, &group);
         out
     }
 
@@ -192,11 +204,6 @@ impl SpanToken {
     pub const NOOP: SpanToken = SpanToken(usize::MAX);
 }
 
-struct Open {
-    idx: usize,
-    child_us: u64,
-}
-
 /// A per-thread (or per-role) event buffer. All hot-path recording goes
 /// through a sink: appends are plain `Vec` pushes, and the shared
 /// [`Recorder`] is only locked at [`TraceSink::flush`] (or drop).
@@ -207,7 +214,8 @@ pub struct TraceSink {
     shared: Option<Arc<Recorder>>,
     lane: usize,
     buf: Vec<Event>,
-    open: Vec<Open>,
+    /// Buffer indices of the open spans, innermost last.
+    open: Vec<usize>,
 }
 
 impl TraceSink {
@@ -306,7 +314,7 @@ impl TraceSink {
             kind: EventKind::Span,
             args: Vec::new(),
         });
-        self.open.push(Open { idx, child_us: 0 });
+        self.open.push(idx);
         SpanToken(idx)
     }
 
@@ -322,14 +330,10 @@ impl TraceSink {
         }
         let now = self.now_us();
         while let Some(top) = self.open.pop() {
-            let dur = now.saturating_sub(self.buf[top.idx].start_us);
-            self.buf[top.idx].dur_us = dur;
-            self.buf[top.idx].self_us = dur.saturating_sub(top.child_us);
-            if let Some(parent) = self.open.last_mut() {
-                parent.child_us += dur;
-            }
-            if top.idx == token.0 {
-                self.buf[top.idx].args.extend_from_slice(args);
+            let span = &mut self.buf[top];
+            span.dur_us = now.saturating_sub(span.start_us);
+            if top == token.0 {
+                span.args.extend_from_slice(args);
                 return;
             }
         }
@@ -390,6 +394,37 @@ impl TraceSink {
 impl Drop for TraceSink {
     fn drop(&mut self) {
         self.flush();
+    }
+}
+
+/// Fill in every span's self time: its duration minus its direct
+/// children's. `group[i]` names the thread that recorded event `i`; within
+/// one thread, spans nest by time containment whichever lane holds them
+/// (ties keep the earlier-recorded span outside), so the self times of a
+/// thread's spans sum to the wall time its outermost spans cover.
+fn assign_self_times(events: &mut [Event], group: &[usize]) {
+    let end = |e: &Event| e.start_us + e.dur_us;
+    let mut order: Vec<usize> = (0..events.len())
+        .filter(|&i| events[i].kind == EventKind::Span)
+        .collect();
+    order.sort_by_key(|&i| {
+        let e = &events[i];
+        (group[i], e.start_us, std::cmp::Reverse(end(e)), i)
+    });
+    let mut open: Vec<usize> = Vec::new();
+    for i in order {
+        while let Some(&top) = open.last() {
+            if group[top] == group[i] && end(&events[i]) <= end(&events[top]) {
+                break;
+            }
+            open.pop();
+        }
+        let dur = events[i].dur_us;
+        events[i].self_us = dur;
+        if let Some(&parent) = open.last() {
+            events[parent].self_us = events[parent].self_us.saturating_sub(dur);
+        }
+        open.push(i);
     }
 }
 
@@ -487,6 +522,46 @@ mod tests {
         let inner_agg = agg.iter().find(|s| s.name == "inner").unwrap();
         assert_eq!(inner_agg.count, 2);
         assert_eq!(inner_agg.total_us, inner_agg.self_us, "leaves keep all time");
+    }
+
+    #[test]
+    fn self_time_nests_across_lanes_of_one_thread() {
+        let rec = Recorder::new();
+        let mut outer_lane = TraceSink::attached(&rec, "pipeline");
+        let mut inner_lane = TraceSink::attached(&rec, "saturation");
+        let outer = outer_lane.begin("saturate");
+        for _ in 0..2 {
+            let step = inner_lane.begin("step");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            inner_lane.end(step);
+        }
+        // A lane registered on another thread never nests under this one,
+        // even while its span lies inside `saturate` in time.
+        let rec2 = Arc::clone(&rec);
+        std::thread::spawn(move || {
+            let mut sink = TraceSink::attached(&rec2, "worker");
+            let t = sink.begin("elsewhere");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            sink.end(t);
+        })
+        .join()
+        .unwrap();
+        outer_lane.end(outer);
+        inner_lane.flush();
+        outer_lane.flush();
+
+        let events = rec.events();
+        let saturate = events.iter().find(|e| e.name == "saturate").unwrap();
+        let steps: u64 = events.iter().filter(|e| e.name == "step").map(|e| e.dur_us).sum();
+        assert_eq!(saturate.self_us, saturate.dur_us - steps);
+        let elsewhere = events.iter().find(|e| e.name == "elsewhere").unwrap();
+        assert_eq!(elsewhere.self_us, elsewhere.dur_us);
+        let total_self: u64 = events.iter().map(|e| e.self_us).sum();
+        assert_eq!(
+            total_self,
+            saturate.dur_us + elsewhere.dur_us,
+            "self times add up to the roots"
+        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ use liar::kernels::Kernel;
 use liar::serve::json::Json;
 use liar::serve::protocol::target_from_wire;
 use liar::serve::{Client, OptimizeRequest, Server, ServerConfig, StatsResponse};
-use liar::trace::{self_times, Recorder};
+use liar::trace::{self_times, Recorder, TraceSink};
 
 // ---------------------------------------------------------------------------
 // The arg table: one declarative spec per command, one parser for all.
@@ -622,11 +622,20 @@ fn run_profile(p: &Parsed) -> Result<ExitCode, String> {
         .with_iter_limit(steps)
         .with_threads(threads)
         .with_trace(Arc::clone(&recorder));
-    let report = pipeline
-        .optimize_multi(&expr, &[target], &[1.0])
-        .map_err(|e| e.to_string())?;
+    // One root span around the whole run: every pipeline and runner span
+    // nests under it, so the self-times below add up to its wall time.
+    let mut sink = TraceSink::attached(&recorder, "profile");
+    let root = sink.begin("profile");
+    let report = pipeline.optimize_multi(&expr, &[target], &[1.0]);
+    sink.end(root);
+    sink.flush();
+    let report = report.map_err(|e| e.to_string())?;
 
     let events = recorder.events();
+    let wall_us = events
+        .iter()
+        .find(|e| e.name == "profile")
+        .map_or(0, |e| e.dur_us);
     let rows = self_times(&events);
     let is_rule = |name: &str| name.starts_with("search/") || name.starts_with("apply/");
     let ms = |us: u64| us as f64 / 1000.0;
@@ -660,6 +669,7 @@ fn run_profile(p: &Parsed) -> Result<ExitCode, String> {
                 "solution",
                 Json::Str(report.solutions[0].solution_summary()),
             ),
+            ("wall_ms", Json::Num(ms(wall_us))),
             (
                 "phases",
                 Json::Arr(
@@ -712,6 +722,7 @@ fn run_profile(p: &Parsed) -> Result<ExitCode, String> {
         report.stop_reason,
     );
     println!("solution: {}", report.solutions[0].solution_summary());
+    println!("wall: {:.3} ms (self-times below add up to it)", ms(wall_us));
     if threads > 1 {
         println!("note: per-rule search spans are recorded by the serial engine only");
     }

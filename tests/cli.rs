@@ -230,3 +230,28 @@ fn serve_and_submit_roundtrip() {
     let status = server.wait().expect("daemon exits after shutdown");
     assert!(status.success(), "{status:?}");
 }
+
+/// `liar profile` self-times add up: every runner and pipeline span nests
+/// under the one root span, so Σ self over the phase and rule rows equals
+/// the root's wall time (within 2%: the JSON rounds each row to µs).
+#[test]
+fn profile_self_times_sum_to_wall_time() {
+    use liar::serve::json;
+
+    let out = liar(&["profile", "mvt", "--json"]);
+    assert!(out.status.success());
+    let doc = json::parse(&String::from_utf8(out.stdout).unwrap()).expect("profile JSON parses");
+    let wall = doc.get("wall_ms").and_then(|w| w.as_f64()).expect("wall_ms");
+    let self_sum = |key: &str| -> f64 {
+        let rows = doc.get(key).and_then(|r| r.as_arr()).expect("rows");
+        rows.iter()
+            .map(|r| r.get("self_ms").and_then(|v| v.as_f64()).expect("self_ms"))
+            .sum()
+    };
+    let total = self_sum("phases") + self_sum("rules");
+    assert!(wall > 0.0, "no root span");
+    assert!(
+        (total - wall).abs() <= 0.02 * wall,
+        "Σ self {total:.3} ms vs wall {wall:.3} ms"
+    );
+}
