@@ -1,5 +1,7 @@
 //! E-class analyses: semilattice facts attached to every e-class.
 
+use std::sync::Arc;
+
 use crate::{EGraph, Id, Language, RecExpr};
 
 /// Result of merging two analysis values, reporting which side changed.
@@ -31,7 +33,9 @@ impl std::ops::BitOr for DidMerge {
 ///   expressions extracted from classes, the paper's §IV.B.3).
 /// * [`downshift`](Analysis::downshift) — find a term in the class whose
 ///   free De Bruijn indices are all `≥ k`, downshifted by `k`. Matching the
-///   pattern `?x↑ᵏ` against class `c` binds `?x` to `downshift(c, k)`.
+///   pattern `?x↑ᵏ` against class `c` binds `?x` to `downshift(c, k)`. The
+///   term comes back as a shared `Arc`, which the matcher stores as the
+///   binding without copying it.
 /// * [`shift_up`](Analysis::shift_up) — shift a term's free indices up by
 ///   `k` (used to instantiate `?x↑ᵏ` on a rule's right-hand side).
 ///
@@ -41,8 +45,11 @@ impl std::ops::BitOr for DidMerge {
 /// Analyses and their facts must be `Send + Sync`: the parallel search
 /// phase shares the e-graph (including every class's `Data` and the
 /// analysis instance itself) immutably across threads. Analyses that cache
-/// (like LIAR's downshift cache) must use interior mutability that is
-/// thread-safe (`Mutex`, not `RefCell`).
+/// must use interior mutability that is thread-safe (`Mutex`, not
+/// `RefCell`). LIAR's array analysis memoizes downshifts per snapshot:
+/// entries are keyed on the canonical class and valid for one
+/// [`rebuild_count`](EGraph::rebuild_count) of a clean e-graph, because
+/// adding nodes to a clean e-graph never changes an existing class.
 pub trait Analysis<L: Language>: Sized + Send + Sync {
     /// The per-class analysis fact.
     type Data: std::fmt::Debug + Clone + Send + Sync;
@@ -70,7 +77,10 @@ pub trait Analysis<L: Language>: Sized + Send + Sync {
     /// A term equal to class `id` with all free binder indices reduced by
     /// `k`, if one exists. `downshift(_, id, 0)` should behave like
     /// [`representative`](Analysis::representative).
-    fn downshift(egraph: &EGraph<L, Self>, id: Id, k: u32) -> Option<RecExpr<L>> {
+    ///
+    /// The answer is a function of the e-graph state, so implementations
+    /// may memoize it and hand out clones of one shared `Arc`.
+    fn downshift(egraph: &EGraph<L, Self>, id: Id, k: u32) -> Option<Arc<RecExpr<L>>> {
         let _ = (egraph, id, k);
         None
     }

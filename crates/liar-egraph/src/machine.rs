@@ -52,7 +52,7 @@ use crate::pattern::{Binding, Pattern, PatternNode, Subst, Var};
 use crate::{Analysis, EGraph, Id, Language, RecExpr};
 
 /// Expression-slot bank: one optional downshifted term per shift-bound
-/// variable.
+/// variable, shared with the analysis that produced it.
 type ExprSlots<L> = Vec<Option<Arc<RecExpr<L>>>>;
 
 /// Where a pattern variable's binding lives during execution.
@@ -289,7 +289,7 @@ impl<L: Language> Program<L> {
                 let Some(down) = A::downshift(egraph, regs[*src], *k) else {
                     return;
                 };
-                exprs[*out] = Some(Arc::new(down));
+                exprs[*out] = Some(down);
                 self.exec(egraph, regs, exprs, pc + 1, found);
             }
             Instr::DownshiftCompare { src, k, expr } => {
@@ -297,7 +297,7 @@ impl<L: Language> Program<L> {
                     return;
                 };
                 let e = exprs[*expr].as_ref().expect("slot written");
-                let matched = **e == down || {
+                let matched = **e == *down || {
                     // Equal classes may yield different representatives;
                     // fall back to a semantic check through the e-graph
                     // (identical to the oracle matcher).

@@ -329,7 +329,7 @@ impl<L: Language> Pattern<L> {
                 };
                 match subst.get(v) {
                     Some(Binding::Expr(e)) => {
-                        if **e == down {
+                        if **e == *down {
                             out.push(subst);
                         } else {
                             // Equal classes may yield different
@@ -348,7 +348,7 @@ impl<L: Language> Pattern<L> {
                     }
                     None => {
                         let mut s = subst;
-                        s.insert(*v, Binding::Expr(Arc::new(down)));
+                        s.insert(*v, Binding::Expr(down));
                         out.push(s);
                     }
                 }

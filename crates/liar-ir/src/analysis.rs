@@ -12,7 +12,7 @@
 //! * the **constant** when the class contains a float literal.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use liar_egraph::{
     Analysis, DidMerge, EGraph, Id, Language, SnapshotAnalysis, SnapshotError, SnapshotReader,
@@ -82,14 +82,81 @@ pub fn node_extent(
 
 /// The standard analysis for [`ArrayLang`] e-graphs.
 ///
-/// Carries a downshift cache: pattern matching may ask for the same
-/// `(class, k)` downshift many times within one (read-only) search phase;
-/// the cache is invalidated whenever the e-graph changes. The cache sits
-/// behind a `Mutex` (not a `RefCell`) so concurrent search workers can
-/// share hits across threads.
+/// Carries the downshift memo. Every shift-pattern idiom binds its
+/// `?x↑ᵏ` variables through [`Analysis::downshift`], so one search phase
+/// asks for the same `(class, k)` many times. The answer is a fact of one
+/// e-graph state, and the memo holds it for exactly that state:
+///
+/// * entries are keyed on the canonical class and tagged with the
+///   [`rebuild_count`](EGraph::rebuild_count) they were computed under;
+///   the first insert under a new count drops them all;
+/// * a dirty e-graph (unions since the last rebuild) bypasses the memo;
+/// * adding nodes to a clean e-graph creates classes but never changes an
+///   existing one, so adds need no invalidation.
+///
+/// The memo sits behind a `Mutex` so parallel search workers share hits.
+/// It is never serialized: a restored e-graph starts with a cold memo, so
+/// give every e-graph its own fresh `ArrayAnalysis`.
 #[derive(Debug, Default)]
 pub struct ArrayAnalysis {
-    downshift_cache: Mutex<HashMap<(Id, u32), Option<Expr>>>,
+    downshifts: Mutex<DownshiftMemo>,
+}
+
+/// The downshift answers of one e-graph state (see [`ArrayAnalysis`]).
+#[derive(Debug, Default)]
+struct DownshiftMemo {
+    /// The rebuild count the entries were computed under.
+    rebuild: u64,
+    entries: HashMap<(Id, u32), Option<Arc<Expr>>>,
+}
+
+impl DownshiftMemo {
+    fn get(&self, rebuild: u64, key: (Id, u32)) -> Option<Option<Arc<Expr>>> {
+        if self.rebuild != rebuild {
+            return None;
+        }
+        self.entries.get(&key).cloned()
+    }
+
+    fn insert(&mut self, rebuild: u64, key: (Id, u32), down: Option<Arc<Expr>>) {
+        if self.rebuild != rebuild {
+            self.entries.clear();
+            self.rebuild = rebuild;
+        }
+        self.entries.insert(key, down);
+    }
+}
+
+impl ArrayAnalysis {
+    /// Lock the memo. A worker that panicked mid-search leaves it valid
+    /// (each update is one whole clear or insert), so poisoning is ignored.
+    fn memo(&self) -> MutexGuard<'_, DownshiftMemo> {
+        self.downshifts
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Downshift class `id` (canonical) by `k > 0`, without the memo.
+fn compute_downshift(
+    egraph: &EGraph<ArrayLang, ArrayAnalysis>,
+    id: Id,
+    k: u32,
+) -> Option<Arc<Expr>> {
+    let data = egraph.data(id);
+    // Fast path: the stored representative already avoids the low indices
+    // (the overwhelmingly common case).
+    let found = if data.repr_free.none_below(k) {
+        Arc::clone(&data.repr)
+    } else {
+        ShiftableFinder::new(egraph).find(id, (1u64 << k) - 1)?
+    };
+    let down = debruijn::try_shift_down(&found, k);
+    debug_assert!(
+        down.is_some(),
+        "downshift candidate has a free index below {k}"
+    );
+    down.map(Arc::new)
 }
 
 fn make_repr(egraph: &EGraph<ArrayLang, ArrayAnalysis>, enode: &ArrayLang) -> Expr {
@@ -179,41 +246,25 @@ impl Analysis<ArrayLang> for ArrayAnalysis {
         Some((*egraph.data(id).repr).clone())
     }
 
-    fn modify(egraph: &mut EGraph<ArrayLang, Self>, _id: Id) {
-        // The e-graph changed: cached downshifts may be stale (a class
-        // may now have a *better* member, and ids may have moved).
-        egraph.analysis.downshift_cache.lock().unwrap().clear();
-    }
-
-    fn downshift(egraph: &EGraph<ArrayLang, Self>, id: Id, k: u32) -> Option<Expr> {
-        if k == 0 {
-            return Self::representative(egraph, id);
-        }
+    fn downshift(egraph: &EGraph<ArrayLang, Self>, id: Id, k: u32) -> Option<Arc<Expr>> {
         let id = egraph.find(id);
-        let data = egraph.data(id);
-        // Fast path: the stored representative already avoids the low
-        // indices (the overwhelmingly common case).
-        if data.repr_free.none_below(k) {
-            let down = debruijn::try_shift_down(&data.repr, k);
-            debug_assert!(down.is_some(), "repr_free out of sync with repr");
-            return down;
+        if k == 0 {
+            return Some(Arc::clone(&egraph.data(id).repr));
         }
-        if let Some(cached) = egraph.analysis.downshift_cache.lock().unwrap().get(&(id, k)) {
-            return cached.clone();
+        if !egraph.is_clean() {
+            return compute_downshift(egraph, id, k);
         }
-        let mut finder = ShiftableFinder::new(egraph);
-        let mask = (1u64 << k) - 1;
-        let down = finder.find(id, mask).map(|found| {
-            let down = debruijn::try_shift_down(&found, k);
-            debug_assert!(down.is_some(), "finder returned non-shiftable term");
-            down.expect("checked")
-        });
+        let rebuild = egraph.rebuild_count();
+        if let Some(hit) = egraph.analysis.memo().get(rebuild, (id, k)) {
+            return hit;
+        }
+        // Computed outside the lock so workers do not serialize on
+        // misses; racing workers compute the same answer.
+        let down = compute_downshift(egraph, id, k);
         egraph
             .analysis
-            .downshift_cache
-            .lock()
-            .unwrap()
-            .insert((id, k), down.clone());
+            .memo()
+            .insert(rebuild, (id, k), down.clone());
         down
     }
 
@@ -293,11 +344,7 @@ impl<'a> ShiftableFinder<'a> {
         }
     }
 
-    fn find(&mut self, class: Id, mask: u64) -> Option<Expr> {
-        self.find_rc(class, mask).map(|e| (*e).clone())
-    }
-
-    fn find_rc(&mut self, class: Id, mask: u64) -> Option<Arc<Expr>> {
+    fn find(&mut self, class: Id, mask: u64) -> Option<Arc<Expr>> {
         let class = self.egraph.find(class);
         if mask == 0 {
             return Some(Arc::clone(&self.egraph.data(class).repr));
@@ -342,7 +389,7 @@ impl<'a> ShiftableFinder<'a> {
             ArrayLang::Lam(body) => {
                 // Under a binder, forbidden index i becomes i+1; the new
                 // index 0 is always allowed.
-                let inner = self.find_rc(*body, mask << 1)?;
+                let inner = self.find(*body, mask << 1)?;
                 let mut e = Expr::default();
                 let root = e.append_subtree(&inner, inner.root());
                 e.add(ArrayLang::Lam(root));
@@ -351,7 +398,7 @@ impl<'a> ShiftableFinder<'a> {
             _ => {
                 let mut children = Vec::with_capacity(node.children().len());
                 for c in node.children() {
-                    children.push(self.find_rc(*c, mask)?);
+                    children.push(self.find(*c, mask)?);
                 }
                 let mut e = Expr::default();
                 let mut i = 0;
@@ -411,7 +458,7 @@ mod tests {
         let id = eg.add_expr(&e("(get xs %2)"));
         // All free indices are ≥ 2: downshift by 2 is possible.
         let down = ArrayAnalysis::downshift(&eg, id, 2).unwrap();
-        assert_eq!(down, e("(get xs %0)"));
+        assert_eq!(*down, e("(get xs %0)"));
         // …but downshift by 3 is not.
         assert_eq!(ArrayAnalysis::downshift(&eg, id, 3), None);
     }
@@ -427,7 +474,7 @@ mod tests {
         // %0 is free in one member but not the other: downshift by 1 finds
         // `zs`.
         let down = ArrayAnalysis::downshift(&eg, a, 1).unwrap();
-        assert_eq!(down, e("zs"));
+        assert_eq!(*down, e("zs"));
     }
 
     #[test]
@@ -436,22 +483,89 @@ mod tests {
         // λ body where body uses %0 (bound) and %3 (free index 2).
         let id = eg.add_expr(&e("(lam (get %3 %0))"));
         let down = ArrayAnalysis::downshift(&eg, id, 2).unwrap();
-        assert_eq!(down, e("(lam (get %1 %0))"));
+        assert_eq!(*down, e("(lam (get %1 %0))"));
         assert_eq!(ArrayAnalysis::downshift(&eg, id, 3), None);
+    }
+
+    /// The memo's entry for `(class, k)` under the current rebuild count.
+    fn memoized(eg: &ArrayEGraph, id: Id, k: u32) -> Option<Option<Arc<Expr>>> {
+        eg.analysis.memo().get(eg.rebuild_count(), (eg.find(id), k))
     }
 
     #[test]
     fn downshift_mixed_members_inside_node() {
         let mut eg = ArrayEGraph::default();
-        // f(x) where x's class gains a %0-free member after a union.
+        // f(x) where x's class gains a %0-free member after a union. The
+        // miss memoized before the union must not survive the rebuild.
         let x = eg.add_expr(&e("(get ys %0)"));
         let fx = eg.add(ArrayLang::Fst(x));
         assert_eq!(ArrayAnalysis::downshift(&eg, fx, 1), None);
+        assert_eq!(memoized(&eg, fx, 1), Some(None), "the miss is memoized");
         let zs = eg.add_expr(&e("zs"));
         eg.union(x, zs);
         eg.rebuild();
+        assert_eq!(memoized(&eg, fx, 1), None, "a rebuild retires the entries");
         let down = ArrayAnalysis::downshift(&eg, fx, 1).unwrap();
-        assert_eq!(down, e("(fst zs)"));
+        assert_eq!(*down, e("(fst zs)"));
+    }
+
+    #[test]
+    fn dirty_graph_never_reads_the_memo() {
+        let mut eg = ArrayEGraph::default();
+        let x = eg.add_expr(&e("(get ys %0)"));
+        let zs = eg.add_expr(&e("zs"));
+        // Plant a wrong answer for both classes under the current rebuild
+        // count: only a read of the memo could return it, whichever class
+        // wins the union.
+        let bogus = Some(Arc::new(e("bogus")));
+        for id in [x, zs] {
+            eg.analysis
+                .memo()
+                .insert(eg.rebuild_count(), (id, 1), bogus.clone());
+            assert_eq!(ArrayAnalysis::downshift(&eg, id, 1), bogus);
+        }
+        eg.union(x, zs);
+        assert!(!eg.is_clean());
+        assert_eq!(*ArrayAnalysis::downshift(&eg, x, 1).unwrap(), e("zs"));
+        assert_eq!(*ArrayAnalysis::downshift(&eg, zs, 2).unwrap(), e("zs"));
+        assert_eq!(memoized(&eg, zs, 2), None, "a dirty graph writes nothing");
+    }
+
+    #[test]
+    fn add_on_clean_graph_keeps_memo_entries_correct() {
+        let mut eg = ArrayEGraph::default();
+        let x = eg.add_expr(&e("(get ys %0)"));
+        let zs = eg.add_expr(&e("zs"));
+        let lam = eg.add_expr(&e("(lam (get %3 %0))"));
+        eg.union(x, zs);
+        eg.rebuild();
+        let old = [x, zs, lam];
+        let before: Vec<_> = old
+            .iter()
+            .flat_map(|&id| (1..=3).map(move |k| (id, k)))
+            .map(|(id, k)| ArrayAnalysis::downshift(&eg, id, k))
+            .collect();
+        // Adds on a clean graph: new classes, some with the old ones as
+        // children, and the graph stays clean.
+        let fx = eg.add(ArrayLang::Fst(x));
+        eg.add_expr(&e("(+ %1 (get ys %0))"));
+        assert!(eg.is_clean());
+        let bytes = eg.snapshot().unwrap();
+        let cold = ArrayEGraph::restore(ArrayAnalysis::default(), &bytes).unwrap();
+        let mut i = 0;
+        for &id in &old {
+            for k in 1..=3 {
+                assert!(memoized(&eg, id, k).is_some(), "entry kept across adds");
+                let warm = ArrayAnalysis::downshift(&eg, id, k);
+                assert_eq!(warm, before[i]);
+                assert_eq!(warm, ArrayAnalysis::downshift(&cold, id, k));
+                i += 1;
+            }
+        }
+        assert_eq!(
+            *ArrayAnalysis::downshift(&eg, fx, 1).unwrap(),
+            e("(fst zs)")
+        );
     }
 
     #[test]

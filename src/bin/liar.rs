@@ -220,9 +220,11 @@ fn multi_targets(p: &Parsed) -> Result<Option<Vec<Target>>, String> {
     if p.has("--all-targets") {
         return Ok(Some(Target::ALL.to_vec()));
     }
-    let Some(list) = p.value("--targets") else {
-        return Ok(None);
-    };
+    p.value("--targets").map(parse_target_list).transpose()
+}
+
+/// A comma-separated target list, deduplicated in first-mention order.
+fn parse_target_list(list: &str) -> Result<Vec<Target>, String> {
     let mut targets: Vec<Target> = Vec::new();
     for name in list.split(',') {
         let t = parse_target_name(name)?;
@@ -232,7 +234,17 @@ fn multi_targets(p: &Parsed) -> Result<Option<Vec<Target>>, String> {
             targets.push(t);
         }
     }
-    Ok(Some(targets))
+    Ok(targets)
+}
+
+/// `liar profile --target`: one target, a comma list, or `all` (the union
+/// ruleset the serve daemon saturates under). Default blas.
+fn profile_targets(p: &Parsed) -> Result<Vec<Target>, String> {
+    match p.value("--target") {
+        None => Ok(vec![Target::Blas]),
+        Some("all") => Ok(Target::ALL.to_vec()),
+        Some(list) => parse_target_list(list),
+    }
 }
 
 fn single_target(p: &Parsed) -> Result<Target, String> {
@@ -611,14 +623,14 @@ fn run_kernel(p: &Parsed) -> Result<ExitCode, String> {
 /// rule, as self-time (span time minus child spans).
 fn run_profile(p: &Parsed) -> Result<ExitCode, String> {
     let kernel = kernel_arg(p)?;
-    let target = single_target(p)?;
+    let targets = profile_targets(p)?;
     let steps = p.usize_or("--steps", 8)?;
     let threads = p.usize_or("--threads", 1)?;
     let top = p.usize_or("--top", 15)?;
     let expr = kernel.expr(kernel.search_size());
 
     let recorder = Recorder::new();
-    let pipeline = Liar::new(target)
+    let pipeline = Liar::new(targets[0])
         .with_iter_limit(steps)
         .with_threads(threads)
         .with_trace(Arc::clone(&recorder));
@@ -626,7 +638,7 @@ fn run_profile(p: &Parsed) -> Result<ExitCode, String> {
     // nests under it, so the self-times below add up to its wall time.
     let mut sink = TraceSink::attached(&recorder, "profile");
     let root = sink.begin("profile");
-    let report = pipeline.optimize_multi(&expr, &[target], &[1.0]);
+    let report = pipeline.optimize_multi(&expr, &targets, &[1.0]);
     sink.end(root);
     sink.flush();
     let report = report.map_err(|e| e.to_string())?;
@@ -660,14 +672,28 @@ fn run_profile(p: &Parsed) -> Result<ExitCode, String> {
         // tables print — scripts can diff two runs directly.
         let json = Json::obj([
             ("kernel", Json::Str(kernel.name().to_string())),
-            ("target", Json::Str(target.name().to_string())),
+            (
+                "target",
+                Json::Arr(
+                    targets
+                        .iter()
+                        .map(|t| Json::Str(t.name().to_string()))
+                        .collect(),
+                ),
+            ),
             ("steps", Json::Num((report.steps.len() - 1) as f64)),
             ("n_nodes", Json::Num(report.n_nodes as f64)),
             ("n_classes", Json::Num(report.n_classes as f64)),
             ("stop_reason", Json::Str(report.stop_reason.to_string())),
             (
                 "solution",
-                Json::Str(report.solutions[0].solution_summary()),
+                Json::Arr(
+                    report
+                        .solutions
+                        .iter()
+                        .map(|s| Json::Str(s.solution_summary()))
+                        .collect(),
+                ),
             ),
             ("wall_ms", Json::Num(ms(wall_us))),
             (
@@ -715,13 +741,19 @@ fn run_profile(p: &Parsed) -> Result<ExitCode, String> {
     println!(
         "profile {} → {} ({} saturation steps, {} e-nodes, {} classes, stopped: {})",
         kernel.name(),
-        target.name(),
+        targets
+            .iter()
+            .map(|t| t.name())
+            .collect::<Vec<_>>()
+            .join(", "),
         report.steps.len() - 1,
         report.n_nodes,
         report.n_classes,
         report.stop_reason,
     );
-    println!("solution: {}", report.solutions[0].solution_summary());
+    for s in &report.solutions {
+        println!("solution ({}): {}", s.target.name(), s.solution_summary());
+    }
     println!("wall: {:.3} ms (self-times below add up to it)", ms(wall_us));
     if threads > 1 {
         println!("note: per-rule search spans are recorded by the serial engine only");
@@ -1318,7 +1350,7 @@ const COMMANDS: &[CommandSpec] = &[
             FlagSpec {
                 name: "--target",
                 metavar: Some("T"),
-                help: "single target: blas | pytorch | pure-c (default blas)",
+                help: "blas | pytorch | pure-c, a comma list, or all (default blas)",
             },
             FlagSpec {
                 name: "--steps",

@@ -231,15 +231,15 @@ fn serve_and_submit_roundtrip() {
     assert!(status.success(), "{status:?}");
 }
 
-/// `liar profile` self-times add up: every runner and pipeline span nests
-/// under the one root span, so Σ self over the phase and rule rows equals
-/// the root's wall time (within 2%: the JSON rounds each row to µs).
-#[test]
-fn profile_self_times_sum_to_wall_time() {
+/// Run `liar profile` with `args` and check that its self-times add up:
+/// every runner and pipeline span nests under the one root span, so
+/// Σ self over the phase and rule rows equals the root's wall time
+/// (within 2%: the JSON rounds each row to µs). Returns the document.
+fn assert_profile_self_times_sum_to_wall_time(args: &[&str]) -> liar::serve::json::Json {
     use liar::serve::json;
 
-    let out = liar(&["profile", "mvt", "--json"]);
-    assert!(out.status.success());
+    let out = liar(args);
+    assert!(out.status.success(), "{out:?}");
     let doc = json::parse(&String::from_utf8(out.stdout).unwrap()).expect("profile JSON parses");
     let wall = doc.get("wall_ms").and_then(|w| w.as_f64()).expect("wall_ms");
     let self_sum = |key: &str| -> f64 {
@@ -252,6 +252,38 @@ fn profile_self_times_sum_to_wall_time() {
     assert!(wall > 0.0, "no root span");
     assert!(
         (total - wall).abs() <= 0.02 * wall,
-        "Σ self {total:.3} ms vs wall {wall:.3} ms"
+        "{args:?}: Σ self {total:.3} ms vs wall {wall:.3} ms"
     );
+    doc
+}
+
+#[test]
+fn profile_self_times_sum_to_wall_time() {
+    assert_profile_self_times_sum_to_wall_time(&["profile", "mvt", "--json"]);
+}
+
+/// `--target all` profiles the union ruleset the daemon runs: the JSON
+/// names every target, the per-rule table holds idioms of more than one
+/// target, and the self-times still add up.
+#[test]
+fn profile_all_targets_self_times_sum_to_wall_time() {
+    let doc = assert_profile_self_times_sum_to_wall_time(&[
+        "profile", "gemv", "--target", "all", "--json",
+    ]);
+    let strings = |key: &str, field: Option<&str>| -> Vec<String> {
+        let rows = doc.get(key).and_then(|r| r.as_arr()).expect(key);
+        rows.iter()
+            .map(|r| field.map_or(Some(r), |f| r.get(f)))
+            .map(|v| v.and_then(|v| v.as_str()).expect("string").to_string())
+            .collect()
+    };
+    assert_eq!(strings("target", None), ["pure-c", "blas", "pytorch"]);
+    assert_eq!(strings("solution", None).len(), 3);
+    let rules = strings("rules", Some("rule"));
+    for idiom in ["idiom-gemv", "idiom-lift-add"] {
+        assert!(
+            rules.iter().any(|r| r == idiom),
+            "no {idiom} row in {rules:?}"
+        );
+    }
 }
