@@ -29,6 +29,9 @@ type AEGraph = EGraph<ArrayLang, ArrayAnalysis>;
 /// the rebuild count or the class count (adds), so `(rebuilds, classes)`
 /// identifies the snapshot and per-class search reuses one O(classes)
 /// computation instead of paying it per class.
+///
+/// Lists must be strictly ascending. A filter over
+/// [`EGraph::classes`], which iterates in ascending id, is already sorted.
 #[derive(Default)]
 pub(super) struct AuxMemo {
     slot: Mutex<MemoSlot>,
@@ -46,7 +49,12 @@ impl AuxMemo {
                 return Arc::clone(list);
             }
         }
-        let list = Arc::new(compute());
+        let list = compute();
+        debug_assert!(
+            list.windows(2).all(|w| w[0] < w[1]),
+            "candidate list not strictly ascending"
+        );
+        let list = Arc::new(list);
         *slot = Some((key.0, key.1, Arc::clone(&list)));
         list
     }
@@ -82,13 +90,17 @@ fn resolve_expr(egraph: &AEGraph, binding: &Binding<ArrayLang>) -> Expr {
     }
 }
 
-/// R-BetaReduce: `(λ e) y → subst(e, y)`.
-struct BetaReduceApplier;
+/// R-BetaReduce: `(λ e) y → subst(e, y)`, with `?b` the body and `?y`
+/// the argument.
+struct BetaReduceApplier {
+    b: Var,
+    y: Var,
+}
 
 impl Applier<ArrayLang, ArrayAnalysis> for BetaReduceApplier {
     fn apply(&self, egraph: &mut AEGraph, class: Id, subst: &Subst<ArrayLang>) -> Vec<Id> {
-        let body = resolve_expr(egraph, subst.get(&Var::new("b")).expect("b bound"));
-        let arg = resolve_expr(egraph, subst.get(&Var::new("y")).expect("y bound"));
+        let body = resolve_expr(egraph, subst.get(&self.b).expect("b bound"));
+        let arg = resolve_expr(egraph, subst.get(&self.y).expect("y bound"));
         let result = debruijn_subst(&body, &arg);
         let new_id = egraph.add_expr(&result);
         let lhs = if egraph.are_explanations_enabled() {
@@ -116,7 +128,7 @@ impl Applier<ArrayLang, ArrayAnalysis> for BetaReduceApplier {
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("b"), Var::new("y")]
+        vec![self.b, self.y]
     }
 }
 
@@ -146,11 +158,13 @@ fn intro_lambda_candidate_class(
     }
 }
 
-/// R-IntroLambda: `e → (λ e↑) y` for every candidate argument class `y`.
+/// R-IntroLambda: `e → (λ e↑) y` for every candidate argument class `y`
+/// (bound to `?y`).
 struct IntroLambdaSearcher {
     config: RuleConfig,
     ys: AuxMemo,
     cands: AuxMemo,
+    y: Var,
 }
 
 impl IntroLambdaSearcher {
@@ -160,13 +174,11 @@ impl IntroLambdaSearcher {
     fn ys(&self, egraph: &AEGraph) -> Arc<Vec<Id>> {
         let exhaustive = self.config.intro_lambda == CandidateSet::All;
         self.ys.get(egraph, || {
-            let mut out: Vec<Id> = egraph
+            egraph
                 .classes()
                 .filter(|c| exhaustive || c.data.has_var)
                 .map(|c| c.id)
-                .collect();
-            out.sort_unstable();
-            out
+                .collect()
         })
     }
 }
@@ -189,7 +201,7 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroLambdaSearcher {
             .take(limit)
             .map(|&y| {
                 let mut s = Subst::default();
-                s.insert(Var::new("y"), Binding::Class(y));
+                s.insert(self.y, Binding::Class(y));
                 s
             })
             .collect()
@@ -207,28 +219,28 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroLambdaSearcher {
         Some(
             self.cands
                 .get(egraph, || {
-                    let mut out: Vec<Id> = egraph
+                    egraph
                         .classes()
                         .filter(|c| intro_lambda_candidate_class(c, set))
                         .map(|c| c.id)
-                        .collect();
-                    out.sort_unstable();
-                    out
+                        .collect()
                 })
                 .to_vec(),
         )
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("y")]
+        vec![self.y]
     }
 }
 
-struct IntroLambdaApplier;
+struct IntroLambdaApplier {
+    y: Var,
+}
 
 impl Applier<ArrayLang, ArrayAnalysis> for IntroLambdaApplier {
     fn apply(&self, egraph: &mut AEGraph, class: Id, subst: &Subst<ArrayLang>) -> Vec<Id> {
-        let mut y = match subst.get(&Var::new("y")).expect("y bound") {
+        let mut y = match subst.get(&self.y).expect("y bound") {
             Binding::Class(id) => *id,
             Binding::Expr(e) => egraph.add_expr(e),
         };
@@ -270,28 +282,44 @@ impl Applier<ArrayLang, ArrayAnalysis> for IntroLambdaApplier {
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("y")]
+        vec![self.y]
+    }
+}
+
+/// The variables R-IntroIndexBuild binds: `?f`, `?i` and the extent `?n`.
+#[derive(Clone, Copy)]
+struct IndexBuildVars {
+    f: Var,
+    i: Var,
+    n: Var,
+}
+
+impl IndexBuildVars {
+    fn new() -> Self {
+        IndexBuildVars {
+            f: Var::new("f"),
+            i: Var::new("i"),
+            n: Var::new("n"),
+        }
     }
 }
 
 /// R-IntroIndexBuild: `f i → (build N f)[i]` for every extent `N` present
 /// in the e-graph.
-#[derive(Default)]
 struct IntroIndexBuildSearcher {
     dims: AuxMemo,
+    vars: IndexBuildVars,
 }
 
 impl IntroIndexBuildSearcher {
     /// Classes carrying a known extent, memoized per snapshot.
     fn dims(&self, egraph: &AEGraph) -> Arc<Vec<Id>> {
         self.dims.get(egraph, || {
-            let mut out: Vec<Id> = egraph
+            egraph
                 .classes()
                 .filter(|c| c.data.dim.is_some())
                 .map(|c| c.id)
-                .collect();
-            out.sort_unstable();
-            out
+                .collect()
         })
     }
 }
@@ -315,9 +343,9 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroIndexBuildSearcher {
                     return substs;
                 }
                 let mut s = Subst::default();
-                s.insert(Var::new("f"), Binding::Class(*f));
-                s.insert(Var::new("i"), Binding::Class(*i));
-                s.insert(Var::new("n"), Binding::Class(n));
+                s.insert(self.vars.f, Binding::Class(*f));
+                s.insert(self.vars.i, Binding::Class(*i));
+                s.insert(self.vars.n, Binding::Class(n));
                 substs.push(s);
             }
         }
@@ -335,7 +363,7 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroIndexBuildSearcher {
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("f"), Var::new("i"), Var::new("n")]
+        vec![self.vars.f, self.vars.i, self.vars.n]
     }
 }
 
@@ -346,6 +374,7 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroIndexBuildSearcher {
 /// to the indexed build, with the extent spelled as its `#n` literal.
 struct IntroIndexBuildApplier {
     rhs: Pattern<ArrayLang>,
+    vars: IndexBuildVars,
 }
 
 impl Applier<ArrayLang, ArrayAnalysis> for IntroIndexBuildApplier {
@@ -353,16 +382,16 @@ impl Applier<ArrayLang, ArrayAnalysis> for IntroIndexBuildApplier {
         if !egraph.are_explanations_enabled() {
             return self.rhs.apply(egraph, class, subst);
         }
-        let bound = |egraph: &mut AEGraph, name: &str| match subst
-            .get(&Var::new(name))
+        let bound = |egraph: &mut AEGraph, var: Var| match subst
+            .get(&var)
             .expect("searcher binds f, i and n")
         {
             Binding::Class(id) => *id,
             Binding::Expr(e) => egraph.add_expr(e),
         };
-        let f = bound(egraph, "f");
-        let i = bound(egraph, "i");
-        let mut n = bound(egraph, "n");
+        let f = bound(egraph, self.vars.f);
+        let i = bound(egraph, self.vars.i);
+        let mut n = bound(egraph, self.vars.n);
         if let Some(d) = egraph.data(n).dim {
             // Spell the extent as its literal so the proof term replays.
             n = egraph.add(ArrayLang::Dim(d));
@@ -384,11 +413,12 @@ impl Applier<ArrayLang, ArrayAnalysis> for IntroIndexBuildApplier {
 }
 
 /// Searcher for the tuple intro rules: pairs every class `a` with candidate
-/// second components `b` (classes already occurring under tuples by
-/// default; all classes in exhaustive mode).
+/// second components `b`, bound to `?b` (classes already occurring under
+/// tuples by default; all classes in exhaustive mode).
 struct IntroTupleSearcher {
     config: RuleConfig,
     candidates: Arc<AuxMemo>,
+    b: Var,
 }
 
 impl IntroTupleSearcher {
@@ -431,14 +461,14 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroTupleSearcher {
             .take(limit)
             .map(|&b| {
                 let mut s = Subst::default();
-                s.insert(Var::new("b"), Binding::Class(b));
+                s.insert(self.b, Binding::Class(b));
                 s
             })
             .collect()
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("b")]
+        vec![self.b]
     }
 }
 
@@ -446,11 +476,12 @@ impl Searcher<ArrayLang, ArrayAnalysis> for IntroTupleSearcher {
 /// matched class supplies the kept component.
 struct IntroTupleApplier {
     first: bool,
+    b: Var,
 }
 
 impl Applier<ArrayLang, ArrayAnalysis> for IntroTupleApplier {
     fn apply(&self, egraph: &mut AEGraph, class: Id, subst: &Subst<ArrayLang>) -> Vec<Id> {
-        let b = match subst.get(&Var::new("b")).expect("b bound") {
+        let b = match subst.get(&self.b).expect("b bound") {
             Binding::Class(id) => *id,
             Binding::Expr(e) => egraph.add_expr(e),
         };
@@ -473,45 +504,50 @@ impl Applier<ArrayLang, ArrayAnalysis> for IntroTupleApplier {
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("b")]
+        vec![self.b]
     }
 }
 
 /// The eight core rules of listing 2.
 pub fn core_rules(config: &RuleConfig) -> Vec<ArrayRewrite> {
     let config = *config;
+    // Variables are interned once here, not per match: `Var::new` takes a
+    // global lock.
+    let (b, y) = (Var::new("b"), Var::new("y"));
+    let index_build = IndexBuildVars::new();
     // One memo for the two tuple intro rules: they scan the same universe.
     let tuple_memo = Arc::new(AuxMemo::default());
     vec![
         Rewrite::new(
             "beta-reduce",
             "(app (lam ?b) ?y)".parse::<Pattern<ArrayLang>>().unwrap(),
-            BetaReduceApplier,
+            BetaReduceApplier { b, y },
         ),
         Rewrite::new(
             "intro-lambda",
-            IntroLambdaSearcher { config, ys: AuxMemo::default(), cands: AuxMemo::default() },
-            IntroLambdaApplier,
+            IntroLambdaSearcher { config, ys: AuxMemo::default(), cands: AuxMemo::default(), y },
+            IntroLambdaApplier { y },
         ),
         Rewrite::from_patterns("elim-index-build", "(get (build ?n ?f) ?i)", "(app ?f ?i)"),
         Rewrite::new(
             "intro-index-build",
-            IntroIndexBuildSearcher::default(),
+            IntroIndexBuildSearcher { dims: AuxMemo::default(), vars: index_build },
             IntroIndexBuildApplier {
                 rhs: "(get (build ?n ?f) ?i)".parse::<Pattern<ArrayLang>>().unwrap(),
+                vars: index_build,
             },
         ),
         Rewrite::from_patterns("elim-fst-tuple", "(fst (tuple ?a ?b))", "?a"),
         Rewrite::new(
             "intro-fst-tuple",
-            IntroTupleSearcher { config, candidates: Arc::clone(&tuple_memo) },
-            IntroTupleApplier { first: true },
+            IntroTupleSearcher { config, candidates: Arc::clone(&tuple_memo), b },
+            IntroTupleApplier { first: true, b },
         ),
         Rewrite::from_patterns("elim-snd-tuple", "(snd (tuple ?a ?b))", "?b"),
         Rewrite::new(
             "intro-snd-tuple",
-            IntroTupleSearcher { config, candidates: tuple_memo },
-            IntroTupleApplier { first: false },
+            IntroTupleSearcher { config, candidates: tuple_memo, b },
+            IntroTupleApplier { first: false, b },
         ),
     ]
 }

@@ -55,20 +55,20 @@ fn scalar_like(egraph: &AEGraph, id: Id) -> bool {
 /// shared across the three intro rules, which gate on the same predicate.
 struct ScalarClassSearcher {
     cands: Arc<AuxMemo>,
+    x: Var,
 }
 
 impl ScalarClassSearcher {
     fn candidates(&self, egraph: &AEGraph) -> Arc<Vec<Id>> {
         self.cands.get(egraph, || {
-            // One pass over the class table (avoiding a by-id lookup per
-            // class), sorted afterwards: this runs every iteration.
-            let mut out: Vec<Id> = egraph
+            // One pass over the class table, which iterates in ascending
+            // id (avoiding a by-id lookup per class): this runs every
+            // iteration.
+            egraph
                 .classes()
                 .filter(|c| c.data.extent.is_none() && c.iter().any(is_scalar_member))
                 .map(|c| c.id)
-                .collect();
-            out.sort_unstable();
-            out
+                .collect()
         })
     }
 }
@@ -100,7 +100,7 @@ impl Searcher<ArrayLang, ArrayAnalysis> for ScalarClassSearcher {
             return vec![];
         }
         let mut s = Subst::default();
-        s.insert(Var::new("x"), Binding::Class(class));
+        s.insert(self.x, Binding::Class(class));
         vec![s]
     }
 
@@ -112,7 +112,7 @@ impl Searcher<ArrayLang, ArrayAnalysis> for ScalarClassSearcher {
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("x")]
+        vec![self.x]
     }
 }
 
@@ -136,6 +136,7 @@ enum IntroShape {
 struct ScalarIntroApplier {
     shape: IntroShape,
     rhs: Pattern<ArrayLang>,
+    x: Var,
 }
 
 impl Applier<ArrayLang, ArrayAnalysis> for ScalarIntroApplier {
@@ -171,17 +172,19 @@ impl Applier<ArrayLang, ArrayAnalysis> for ScalarIntroApplier {
     }
 
     fn bound_vars(&self) -> Vec<Var> {
-        vec![Var::new("x")]
+        vec![self.x]
     }
 }
 
 fn intro(name: &str, shape: IntroShape, rhs: &str, cands: Arc<AuxMemo>) -> ArrayRewrite {
+    let x = Var::new("x");
     Rewrite::new(
         name,
-        ScalarClassSearcher { cands },
+        ScalarClassSearcher { cands, x },
         ScalarIntroApplier {
             shape,
             rhs: rhs.parse::<Pattern<ArrayLang>>().unwrap(),
+            x,
         },
     )
 }

@@ -52,7 +52,7 @@ impl<L: Language, A: Analysis<L>> fmt::Display for Dot<'_, L, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "digraph egraph {{")?;
         writeln!(f, "  compound=true; clusterrank=local;")?;
-        for class in self.egraph.classes_sorted() {
+        for class in self.egraph.classes() {
             let lit = self.highlights.contains(&class.id);
             writeln!(f, "  subgraph cluster_{} {{", class.id)?;
             if lit {
@@ -71,7 +71,7 @@ impl<L: Language, A: Analysis<L>> fmt::Display for Dot<'_, L, A> {
             }
             writeln!(f, "  }}")?;
         }
-        for class in self.egraph.classes_sorted() {
+        for class in self.egraph.classes() {
             let from_lit = self.highlights.contains(&class.id);
             for (i, node) in class.iter().enumerate() {
                 for (arg, child) in node.children().iter().enumerate() {

@@ -1,12 +1,12 @@
 //! The e-graph data structure: hash-consed nodes, union-find classes,
 //! deferred congruence-closure rebuilding.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::attribution::Attribution;
 use crate::explain::{Explain, Explanation, Justification};
+use crate::fxhash::FxHashMap;
 use crate::pattern::Subst;
 use crate::unionfind::UnionFind;
 use crate::{Analysis, Id, Language, RecExpr};
@@ -44,6 +44,81 @@ impl<L: Language, D> EClass<L, D> {
     }
 }
 
+/// The class table: slot `i` holds the class whose canonical id is `i`.
+///
+/// An id that is not canonical leaves a `None` hole: a union's loser, or a
+/// precise id that an explained [`add`](EGraph::add) issues for a congruent
+/// spelling. Slots are boxed so that a hole costs one pointer rather than
+/// a whole class. Iteration runs in ascending id, the order searchers,
+/// reports and the snapshot writer rely on.
+pub(crate) struct ClassTable<C> {
+    slots: Vec<Option<Box<C>>>,
+    live: usize,
+}
+
+impl<C> Default for ClassTable<C> {
+    fn default() -> Self {
+        ClassTable {
+            slots: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<C> ClassTable<C> {
+    /// Number of classes stored.
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
+    pub(crate) fn get(&self, id: Id) -> Option<&C> {
+        self.slots.get(id.index())?.as_deref()
+    }
+
+    pub(crate) fn get_mut(&mut self, id: Id) -> Option<&mut C> {
+        self.slots.get_mut(id.index())?.as_deref_mut()
+    }
+
+    /// Store `class` under `id`, growing the table as needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` already holds a class.
+    pub(crate) fn insert(&mut self, id: Id, class: C) {
+        let i = id.index();
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        assert!(self.slots[i].is_none(), "class {id} stored twice");
+        self.slots[i] = Some(Box::new(class));
+        self.live += 1;
+    }
+
+    /// Take the class stored under `id`, leaving a hole.
+    pub(crate) fn remove(&mut self, id: Id) -> Option<C> {
+        let class = self.slots.get_mut(id.index())?.take()?;
+        self.live -= 1;
+        Some(*class)
+    }
+
+    /// `(id, class)` pairs in ascending id.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Id, &C)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| Some((Id::from_index(i), slot.as_deref()?)))
+    }
+
+    /// The classes in ascending id.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &C> {
+        self.slots.iter().filter_map(|slot| slot.as_deref())
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut C> {
+        self.slots.iter_mut().filter_map(|slot| slot.as_deref_mut())
+    }
+}
+
 /// An e-graph parameterized over a [`Language`] and an [`Analysis`].
 ///
 /// Mirrors the design of egg: additions hash-cons into `memo`, unions are
@@ -54,15 +129,15 @@ pub struct EGraph<L: Language, A: Analysis<L>> {
     /// The analysis instance (may carry configuration).
     pub analysis: A,
     unionfind: UnionFind,
-    memo: HashMap<L, Id>,
-    classes: HashMap<Id, EClass<L, A::Data>>,
+    memo: FxHashMap<L, Id>,
+    classes: ClassTable<EClass<L, A::Data>>,
     /// The operator index: [`Language::op_key`] → ascending ids of the
     /// classes containing at least one e-node with that operator. Kept
     /// incrementally by [`add`](EGraph::add) and recomputed wholesale at
     /// the end of every [`rebuild`](EGraph::rebuild); exact whenever the
     /// e-graph is clean. Compiled patterns use it to visit only the
     /// classes whose members can possibly match their root operator.
-    classes_by_op: HashMap<u64, Vec<Id>>,
+    classes_by_op: FxHashMap<u64, Vec<Id>>,
     /// How many times [`rebuild`](EGraph::rebuild) has run (see
     /// [`rebuild_count`](EGraph::rebuild_count)).
     rebuilds: u64,
@@ -110,9 +185,9 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         EGraph {
             analysis,
             unionfind: UnionFind::default(),
-            memo: HashMap::new(),
-            classes: HashMap::new(),
-            classes_by_op: HashMap::new(),
+            memo: FxHashMap::default(),
+            classes: ClassTable::default(),
+            classes_by_op: FxHashMap::default(),
             rebuilds: 0,
             pending: Vec::new(),
             analysis_pending: Vec::new(),
@@ -229,13 +304,8 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
     /// The hash-cons memo (for snapshot serialization). With explanations
     /// enabled the stored ids are *precise* creation ids; otherwise they
     /// are canonical as of the last rebuild.
-    pub(crate) fn snapshot_memo(&self) -> &HashMap<L, Id> {
+    pub(crate) fn snapshot_memo(&self) -> &FxHashMap<L, Id> {
         &self.memo
-    }
-
-    /// The class table (for snapshot serialization).
-    pub(crate) fn snapshot_classes(&self) -> &HashMap<Id, EClass<L, A::Data>> {
-        &self.classes
     }
 
     /// The union-find (for snapshot serialization).
@@ -249,29 +319,18 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
     }
 
     /// Assemble an e-graph from snapshot-restored parts. The caller
-    /// (snapshot restore) has validated that `classes` keys are canonical
+    /// (snapshot restore) has validated that `classes` ids are canonical
     /// in `unionfind` and that every child id is in range; this
     /// constructor recomputes the operator index exactly the way
-    /// [`rebuild`](EGraph::rebuild) does (ascending-id iteration keeps
-    /// buckets sorted) and marks the graph clean.
+    /// [`rebuild`](EGraph::rebuild) does and marks the graph clean.
     pub(crate) fn from_snapshot_parts(
         analysis: A,
         unionfind: UnionFind,
-        memo: HashMap<L, Id>,
-        classes: HashMap<Id, EClass<L, A::Data>>,
+        memo: FxHashMap<L, Id>,
+        classes: ClassTable<EClass<L, A::Data>>,
         explain: Option<Explain<L>>,
     ) -> Self {
-        let mut classes_by_op: HashMap<u64, Vec<Id>> = HashMap::new();
-        let mut ids: Vec<Id> = classes.keys().copied().collect();
-        ids.sort();
-        for id in ids {
-            for node in &classes[&id].nodes {
-                let bucket = classes_by_op.entry(node.op_key()).or_default();
-                if bucket.last() != Some(&id) {
-                    bucket.push(id);
-                }
-            }
-        }
+        let classes_by_op = op_index(&classes);
         EGraph {
             analysis,
             unionfind,
@@ -329,24 +388,14 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         self.unionfind.find_mut(id)
     }
 
-    /// Iterate over the e-classes (unspecified order).
+    /// Iterate over the e-classes in ascending id.
     pub fn classes(&self) -> impl Iterator<Item = &EClass<L, A::Data>> {
         self.classes.values()
     }
 
-    /// The e-classes sorted by id — use this wherever determinism matters
-    /// (searchers, reports).
-    pub fn classes_sorted(&self) -> Vec<&EClass<L, A::Data>> {
-        let mut cs: Vec<_> = self.classes.values().collect();
-        cs.sort_by_key(|c| c.id);
-        cs
-    }
-
-    /// Ids of all e-classes, sorted.
+    /// Ids of all e-classes, ascending.
     pub fn class_ids(&self) -> Vec<Id> {
-        let mut ids: Vec<_> = self.classes.keys().copied().collect();
-        ids.sort();
-        ids
+        self.classes.iter().map(|(id, _)| id).collect()
     }
 
     /// Access a class by (possibly stale) id.
@@ -357,7 +406,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
     pub fn class(&self, id: Id) -> &EClass<L, A::Data> {
         let id = self.find(id);
         self.classes
-            .get(&id)
+            .get(id)
             .unwrap_or_else(|| panic!("no class for id {id}"))
     }
 
@@ -405,7 +454,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         for child in node.children() {
             let child = self.find(*child);
             self.classes
-                .get_mut(&child)
+                .get_mut(child)
                 .expect("child class must exist")
                 .parents
                 .push((node.clone(), id));
@@ -465,7 +514,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         for child in cnode.children() {
             let child = self.find(*child);
             self.classes
-                .get_mut(&child)
+                .get_mut(child)
                 .expect("child class must exist")
                 .parents
                 .push((cnode.clone(), id));
@@ -549,8 +598,8 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         self.clean = false;
         // Keep the class with more members as the winner to move less data.
         let (winner, loser) = {
-            let ca = &self.classes[&a];
-            let cb = &self.classes[&b];
+            let ca = self.classes.get(a).expect("class a exists");
+            let cb = self.classes.get(b).expect("class b exists");
             if ca.nodes.len() + ca.parents.len() >= cb.nodes.len() + cb.parents.len() {
                 (a, b)
             } else {
@@ -558,31 +607,28 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             }
         };
         self.unionfind.union_roots(winner, loser);
-        let loser_class = self.classes.remove(&loser).expect("loser class exists");
+        let loser_class = self.classes.remove(loser).expect("loser class exists");
 
         // Parents of the loser now refer to a stale id; they must be
         // re-canonicalized and re-hashed.
         self.pending.extend(loser_class.parents.iter().cloned());
 
-        let did = {
-            let winner_class = self.classes.get_mut(&winner).expect("winner class exists");
-            let did = self.analysis.merge(&mut winner_class.data, loser_class.data);
-            winner_class.nodes.extend(loser_class.nodes);
-            if did.0 {
-                // The winner's own fact changed: its pre-existing parents
-                // must be re-analyzed.
-                self.analysis_pending
-                    .extend(winner_class.parents.iter().cloned());
-            }
-            if did.1 {
-                self.analysis_pending
-                    .extend(loser_class.parents.iter().cloned());
-            }
-            let winner_class = self.classes.get_mut(&winner).expect("winner class exists");
-            winner_class.parents.extend(loser_class.parents);
-            did
-        };
-        let _ = did;
+        let winner_class = self.classes.get_mut(winner).expect("winner class exists");
+        let did = self
+            .analysis
+            .merge(&mut winner_class.data, loser_class.data);
+        winner_class.nodes.extend(loser_class.nodes);
+        if did.0 {
+            // The winner's own fact changed: its pre-existing parents
+            // must be re-analyzed.
+            self.analysis_pending
+                .extend(winner_class.parents.iter().cloned());
+        }
+        if did.1 {
+            self.analysis_pending
+                .extend(loser_class.parents.iter().cloned());
+        }
+        winner_class.parents.extend(loser_class.parents);
         A::modify(self, winner);
         (winner, true)
     }
@@ -620,11 +666,10 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
                 let class = self.find_mut(class);
                 let node = self.canonicalize(node);
                 let data = A::make(self, &node);
-                let cdata = &mut self.classes.get_mut(&class).expect("class exists").data;
-                let did = self.analysis.merge(cdata, data);
+                let eclass = self.classes.get_mut(class).expect("class exists");
+                let did = self.analysis.merge(&mut eclass.data, data);
                 if did.0 {
-                    let parents = self.classes[&class].parents.clone();
-                    self.analysis_pending.extend(parents);
+                    self.analysis_pending.extend(eclass.parents.iter().cloned());
                     A::modify(self, class);
                 }
             }
@@ -692,23 +737,11 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         }
 
         // Recompute the operator index from the (now canonical) classes.
-        // Iterating classes in ascending-id order keeps every bucket
-        // sorted, which index-driven searchers rely on for determinism.
-        self.classes_by_op.clear();
-        let mut ids: Vec<Id> = self.classes.keys().copied().collect();
-        ids.sort();
-        for id in ids {
-            for node in &self.classes[&id].nodes {
-                let bucket = self.classes_by_op.entry(node.op_key()).or_default();
-                if bucket.last() != Some(&id) {
-                    bucket.push(id);
-                }
-            }
-        }
+        self.classes_by_op = op_index(&self.classes);
         // Post-rebuild staleness guard: every indexed id must be canonical
-        // and every bucket strictly sorted (ascending-id iteration plus the
-        // `last()` dedup above guarantee this *only* because `ids` was
-        // sorted — this assert keeps that load-bearing detail honest).
+        // and every bucket strictly sorted (the class table's ascending
+        // iteration plus the `last()` dedup in `op_index` guarantee this;
+        // the assert keeps that load-bearing detail honest).
         debug_assert!(
             self.classes_by_op.values().all(|bucket| {
                 bucket.windows(2).all(|w| w[0] < w[1])
@@ -768,9 +801,15 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
     /// on a clean (rebuilt) e-graph.
     pub fn assert_invariants(&self) {
         assert!(self.clean, "assert_invariants requires a rebuilt egraph");
-        for (id, class) in &self.classes {
-            assert_eq!(*id, self.find(*id), "class key {id} not canonical");
-            assert_eq!(class.id, *id, "class id field mismatch");
+        let ids = self.class_ids();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "classes() not strictly ascending"
+        );
+        assert_eq!(ids.len(), self.num_classes(), "class count mismatch");
+        for (id, class) in self.classes.iter() {
+            assert_eq!(id, self.find(id), "class key {id} not canonical");
+            assert_eq!(class.id, id, "class id field mismatch");
             for node in &class.nodes {
                 let canon = self.canonicalize(node.clone());
                 assert_eq!(&canon, node, "node {node:?} in class {id} not canonical");
@@ -778,11 +817,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
                     .memo
                     .get(&canon)
                     .unwrap_or_else(|| panic!("node {node:?} missing from memo"));
-                assert_eq!(
-                    self.find(*memo_id),
-                    *id,
-                    "memo maps {node:?} to wrong class"
-                );
+                assert_eq!(self.find(*memo_id), id, "memo maps {node:?} to wrong class");
             }
         }
         for (node, id) in &self.memo {
@@ -790,17 +825,17 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             assert_eq!(&canon, node, "memo key {node:?} not canonical");
             let id = self.find(*id);
             assert!(
-                self.classes[&id].nodes.contains(node),
+                self.class(id).nodes.contains(node),
                 "memo entry {node:?} not in class {id}"
             );
         }
         // Operator-index soundness: every (class, node) pair is reachable
         // through the node's op key, and every indexed id is canonical,
         // sorted and justified by some member node.
-        for (id, class) in &self.classes {
+        for (id, class) in self.classes.iter() {
             for node in &class.nodes {
                 assert!(
-                    self.classes_with_op(node.op_key()).contains(id),
+                    self.classes_with_op(node.op_key()).contains(&id),
                     "class {id} missing from op index for {node:?}"
                 );
             }
@@ -810,12 +845,28 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             for id in ids {
                 assert!(self.unionfind.is_canonical(*id), "stale id {id} in op index");
                 assert!(
-                    self.classes[id].nodes.iter().any(|n| n.op_key() == *key),
+                    self.class(*id).nodes.iter().any(|n| n.op_key() == *key),
                     "class {id} indexed under {key} without a matching node"
                 );
             }
         }
     }
+}
+
+/// The operator index of a class table: [`Language::op_key`] → ascending
+/// ids of the classes holding a node with that key. The table iterates in
+/// ascending id, so pushing keeps every bucket sorted.
+fn op_index<L: Language, D>(classes: &ClassTable<EClass<L, D>>) -> FxHashMap<u64, Vec<Id>> {
+    let mut index: FxHashMap<u64, Vec<Id>> = FxHashMap::default();
+    for (id, class) in classes.iter() {
+        for node in &class.nodes {
+            let bucket = index.entry(node.op_key()).or_default();
+            if bucket.last() != Some(&id) {
+                bucket.push(id);
+            }
+        }
+    }
+    index
 }
 
 impl<L: Language, A: Analysis<L>> std::ops::Index<Id> for EGraph<L, A> {
@@ -1016,6 +1067,108 @@ mod tests {
             assert_eq!(eg.find(id), id, "stale id {id} in f bucket");
         }
         assert_eq!(bucket.len(), 3, "5 f-classes minus 2 merges");
+        eg.assert_invariants();
+    }
+
+    #[test]
+    fn class_table_iterates_ascending_around_holes() {
+        let mut table: ClassTable<&str> = ClassTable::default();
+        for (i, name) in [(7, "h"), (2, "c"), (4, "e"), (0, "a")] {
+            table.insert(Id::from_index(i), name);
+        }
+        assert_eq!(table.len(), 4);
+        let ids: Vec<usize> = table.iter().map(|(id, _)| id.index()).collect();
+        assert_eq!(ids, [0, 2, 4, 7]);
+        let values: Vec<&str> = table.values().copied().collect();
+        assert_eq!(values, ["a", "c", "e", "h"]);
+        assert_eq!(table.remove(Id::from_index(4)), Some("e"));
+        // Removing a hole, or an id past the end, changes nothing.
+        assert_eq!(table.remove(Id::from_index(4)), None);
+        assert_eq!(table.remove(Id::from_index(3)), None);
+        assert_eq!(table.remove(Id::from_index(99)), None);
+        assert_eq!(table.len(), 3);
+        assert!(table.get(Id::from_index(4)).is_none());
+        assert!(table.get(Id::from_index(99)).is_none());
+        *table.get_mut(Id::from_index(7)).unwrap() = "z";
+        let ids: Vec<usize> = table.iter().map(|(id, _)| id.index()).collect();
+        assert_eq!(ids, [0, 2, 7]);
+        assert_eq!(table.get(Id::from_index(7)), Some(&"z"));
+    }
+
+    #[test]
+    #[should_panic(expected = "stored twice")]
+    fn class_table_rejects_a_second_class_under_one_id() {
+        let mut table: ClassTable<u8> = ClassTable::default();
+        table.insert(Id::from_index(1), 1);
+        table.insert(Id::from_index(1), 2);
+    }
+
+    /// `class_ids()` must equal the sorted, canonical ids — what it
+    /// computed before the class table made the sort redundant.
+    fn assert_class_ids_sorted(eg: &EG) {
+        let mut expect: Vec<Id> = (0..eg.unionfind.len())
+            .map(Id::from_index)
+            .filter(|&id| eg.find(id) == id)
+            .collect();
+        expect.sort();
+        assert_eq!(eg.class_ids(), expect);
+        assert_eq!(eg.num_classes(), expect.len());
+        let iterated: Vec<Id> = eg.classes().map(|c| c.id).collect();
+        assert_eq!(iterated, expect);
+    }
+
+    #[test]
+    fn unions_leave_holes_that_iteration_skips() {
+        let mut eg = EG::default();
+        let ids: Vec<Id> = ["a", "b", "c", "d", "e"]
+            .into_iter()
+            .map(|n| eg.add(leaf(n)))
+            .collect();
+        let (winner, _) = eg.union(ids[1], ids[3]);
+        eg.union(ids[4], ids[0]);
+        eg.rebuild();
+        assert_class_ids_sorted(&eg);
+        assert_eq!(eg.num_classes(), 3);
+        // The loser's id is a hole but still resolves through `find`.
+        let loser = if winner == ids[1] { ids[3] } else { ids[1] };
+        assert!(eg.classes.get(loser).is_none());
+        assert_eq!(eg[loser].id, winner);
+        eg.assert_invariants();
+    }
+
+    #[test]
+    fn explained_precise_ids_leave_holes() {
+        let mut eg = EG::default().with_explanations_enabled();
+        let a = eg.add(leaf("a"));
+        let b = eg.add(leaf("b"));
+        let fa = eg.add(SymbolLang::new("f", vec![a]));
+        eg.union(a, b);
+        eg.rebuild();
+        // `f(b)` is a congruent spelling of `f(a)`: it gets a fresh precise
+        // id but no class of its own.
+        let fb = eg.add(SymbolLang::new("f", vec![b]));
+        assert_ne!(fb, fa);
+        assert_eq!(eg.find(fb), eg.find(fa));
+        assert!(eg.classes.get(fb).is_none());
+        assert_eq!(eg.num_classes(), 2);
+        assert_class_ids_sorted(&eg);
+        eg.assert_invariants();
+    }
+
+    #[test]
+    fn class_ids_stay_sorted_through_saturation() {
+        let mut eg = EG::default();
+        let mut fs = Vec::new();
+        for name in ["a", "b", "c", "d", "e", "f"] {
+            let x = eg.add(leaf(name));
+            fs.push(eg.add(SymbolLang::new("g", vec![x])));
+        }
+        eg.rebuild();
+        for (i, j) in [(5, 0), (1, 4), (3, 2), (0, 3)] {
+            eg.union(fs[i], fs[j]);
+        }
+        eg.rebuild();
+        assert_class_ids_sorted(&eg);
         eg.assert_invariants();
     }
 

@@ -152,7 +152,7 @@ impl<'a, L: Language, A: Analysis<L>, C: CostFunction<L, A>> ExactExtractor<'a, 
     /// [`ExactExtractor::solve`].
     pub fn new(egraph: &'a EGraph<L, A>, cost_fn: C) -> Self {
         let dag = DagExtractor::new(egraph, cost_fn);
-        let classes = egraph.classes_sorted();
+        let classes: Vec<_> = egraph.classes().collect();
         let position: HashMap<Id, usize> = classes
             .iter()
             .enumerate()

@@ -63,7 +63,7 @@ impl<'a, L: Language, A: Analysis<L>> FlatGraph<'a, L, A> {
     /// the transpose of the child CSR: count per class, prefix-sum, then
     /// a fill pass with a moving cursor.
     pub fn new(egraph: &'a EGraph<L, A>) -> Self {
-        let classes = egraph.classes_sorted();
+        let classes: Vec<_> = egraph.classes().collect();
         let n = classes.len();
         let max_id = classes.last().map_or(0, |c| c.id.index());
         let mut position: Vec<u32> = vec![u32::MAX; max_id + 1];

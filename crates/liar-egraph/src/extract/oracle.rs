@@ -33,7 +33,7 @@ fn tree_costs_ref<L: Language, A: Analysis<L>, C: CostFunction<L, A>>(
     egraph: &EGraph<L, A>,
     cost_fn: &C,
 ) -> HashMap<Id, f64> {
-    let classes = egraph.classes_sorted();
+    let classes: Vec<_> = egraph.classes().collect();
     let mut costs: HashMap<Id, f64> = HashMap::new();
     for _ in 0..classes.len() + 1 {
         let mut changed = false;
@@ -86,7 +86,7 @@ pub fn dag_costs<L: Language, A: Analysis<L>, C: CostFunction<L, A>>(
         let full = cost_fn.cost(egraph, node, &mut |id| tree[&egraph.find(id)]);
         full - child_sum
     };
-    let classes = egraph.classes_sorted();
+    let classes: Vec<_> = egraph.classes().collect();
     let mut choices: HashMap<Id, Choice> = HashMap::new();
     for _ in 0..classes.len() + 1 {
         let mut changed = false;

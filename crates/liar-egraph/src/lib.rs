@@ -73,6 +73,7 @@ mod dot;
 mod egraph;
 pub mod explain;
 mod extract;
+pub mod fxhash;
 mod id;
 mod language;
 pub mod machine;

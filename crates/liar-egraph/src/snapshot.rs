@@ -62,7 +62,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
+use crate::egraph::ClassTable;
 use crate::explain::{Explain, Justification};
+use crate::fxhash::FxHashMap;
 use crate::pattern::Subst;
 use crate::unionfind::UnionFind;
 use crate::{EClass, EGraph, Id, Language};
@@ -406,9 +408,8 @@ impl<L: Language, A: SnapshotAnalysis<L>> EGraph<L, A> {
         // Pass 1: collect every operator string (and rule name) into a
         // sorted table, so nodes serialize as small indices and the bytes
         // are independent of hash-map iteration order.
-        let classes = self.snapshot_classes();
         let mut set: BTreeSet<String> = BTreeSet::new();
-        for class in classes.values() {
+        for class in self.classes() {
             for n in &class.nodes {
                 set.insert(n.display_op());
             }
@@ -453,12 +454,9 @@ impl<L: Language, A: SnapshotAnalysis<L>> EGraph<L, A> {
             w.write_id(*p);
         }
 
-        let mut ids: Vec<Id> = classes.keys().copied().collect();
-        ids.sort_unstable();
-        w.write_u32(ids.len() as u32);
-        for id in ids {
-            let class = &classes[&id];
-            w.write_id(id);
+        w.write_u32(self.num_classes() as u32);
+        for class in self.classes() {
+            w.write_id(class.id);
             w.write_u32(class.nodes.len() as u32);
             for n in &class.nodes {
                 write_node(&mut w, &index, n);
@@ -571,7 +569,7 @@ impl<L: Language, A: SnapshotAnalysis<L>> EGraph<L, A> {
         if n_classes > n_ids {
             return Err(r.corrupt(format!("{n_classes} classes but only {n_ids} ids")));
         }
-        let mut classes: HashMap<Id, EClass<L, A::Data>> = HashMap::with_capacity(n_classes);
+        let mut classes: ClassTable<EClass<L, A::Data>> = ClassTable::default();
         let mut prev: Option<Id> = None;
         for _ in 0..n_classes {
             let id = r.read_id(n_ids)?;
@@ -609,13 +607,14 @@ impl<L: Language, A: SnapshotAnalysis<L>> EGraph<L, A> {
         // `class()` lookups would panic.
         for i in 0..n_ids {
             let root = unionfind.find(Id::from_index(i));
-            if !classes.contains_key(&root) {
+            if classes.get(root).is_none() {
                 return Err(r.corrupt(format!("id {i} resolves to missing class {root}")));
             }
         }
 
         let n_memo = r.read_u32()? as usize;
-        let mut memo: HashMap<L, Id> = HashMap::with_capacity(n_memo.min(1 << 20));
+        let mut memo: FxHashMap<L, Id> =
+            FxHashMap::with_capacity_and_hasher(n_memo.min(1 << 20), Default::default());
         for _ in 0..n_memo {
             let node = read_node::<L>(&mut r, &strings, n_ids)?;
             let id = r.read_id(n_ids)?;
@@ -713,9 +712,7 @@ mod tests {
     fn assert_same_graph(a: &EG, b: &EG) {
         assert_eq!(a.num_classes(), b.num_classes());
         assert_eq!(a.num_nodes(), b.num_nodes());
-        let ca = a.classes_sorted();
-        let cb = b.classes_sorted();
-        for (x, y) in ca.iter().zip(cb.iter()) {
+        for (x, y) in a.classes().zip(b.classes()) {
             assert_eq!(x.id, y.id);
             assert_eq!(x.nodes, y.nodes);
         }

@@ -11,9 +11,9 @@
 //! * the **extent** when the class is a `#n` leaf (read by cost models);
 //! * the **constant** when the class contains a float literal.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use liar_egraph::fxhash::FxHashMap;
 use liar_egraph::{
     Analysis, DidMerge, EGraph, Id, Language, SnapshotAnalysis, SnapshotError, SnapshotReader,
     SnapshotWriter,
@@ -107,7 +107,7 @@ pub struct ArrayAnalysis {
 struct DownshiftMemo {
     /// The rebuild count the entries were computed under.
     rebuild: u64,
-    entries: HashMap<(Id, u32), Option<Arc<Expr>>>,
+    entries: FxHashMap<(Id, u32), Option<Arc<Expr>>>,
 }
 
 impl DownshiftMemo {
@@ -331,7 +331,7 @@ impl SnapshotAnalysis<ArrayLang> for ArrayAnalysis {
 /// with no free index `< k`.
 struct ShiftableFinder<'a> {
     egraph: &'a EGraph<ArrayLang, ArrayAnalysis>,
-    memo: HashMap<(Id, u64), Option<Arc<Expr>>>,
+    memo: FxHashMap<(Id, u64), Option<Arc<Expr>>>,
     visiting: Vec<(Id, u64)>,
 }
 
@@ -339,7 +339,7 @@ impl<'a> ShiftableFinder<'a> {
     fn new(egraph: &'a EGraph<ArrayLang, ArrayAnalysis>) -> Self {
         ShiftableFinder {
             egraph,
-            memo: HashMap::new(),
+            memo: FxHashMap::default(),
             visiting: Vec::new(),
         }
     }
